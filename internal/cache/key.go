@@ -23,7 +23,8 @@ import (
 	"encoding/hex"
 	"errors"
 	"fmt"
-	"strings"
+	"math/bits"
+	"strconv"
 	"sync"
 
 	"github.com/reversible-eda/rcgp/internal/rqfp"
@@ -72,12 +73,16 @@ func Signature(tables []tt.TT) (string, *Transform, error) {
 	}
 	if n <= tt.NPNMaxVars {
 		canon, tr := canonicalize(tables)
-		var sb strings.Builder
-		fmt.Fprintf(&sb, "npn:%d:%d", n, len(tables))
+		key := make([]byte, 0, 16+9*len(canon))
+		key = append(key, "npn:"...)
+		key = strconv.AppendInt(key, int64(n), 10)
+		key = append(key, ':')
+		key = strconv.AppendInt(key, int64(len(tables)), 10)
 		for _, w := range canon {
-			fmt.Fprintf(&sb, ":%x", w)
+			key = append(key, ':')
+			key = strconv.AppendUint(key, w, 16)
 		}
-		return sb.String(), &tr, nil
+		return string(key), &tr, nil
 	}
 	h := sha256.New()
 	fmt.Fprintf(h, "%d:%d", n, len(tables))
@@ -90,113 +95,162 @@ func Signature(tables []tt.TT) (string, *Transform, error) {
 
 // pack flattens a ≤5-input truth table into one uint64.
 func pack(f tt.TT) uint64 {
-	var w uint64
-	for s := uint(0); s < uint(f.Size()); s++ {
-		if f.Get(s) {
-			w |= 1 << s
-		}
-	}
-	return w
+	return f.Bits[0] & (uint64(1)<<uint(f.Size()) - 1)
 }
 
-// transformSet is the precomputed enumeration of all input transforms of
-// one arity: for every (permutation, input-negation) pair, remaps holds
-// the original assignment each canonical assignment reads. Shared across
-// all canonicalizations of that arity — the per-call work is then a pure
-// table walk.
-type transformSet struct {
+// permSet is the precomputed enumeration of the input permutations of one
+// arity, in the order canonicalize walks them, with each permutation's
+// assignment remap under no input negation: remaps[p][s] is the original
+// assignment canonical assignment s reads. Shared across all
+// canonicalizations of that arity.
+type permSet struct {
 	perms  [][]uint8
-	negs   uint32
-	remaps [][]uint8 // [perm*negs+neg][canonical s] = original assignment
+	remaps [][]uint8
 }
 
 var (
-	transformSets [tt.NPNMaxVars + 1]*transformSet
-	transformOnce [tt.NPNMaxVars + 1]sync.Once
+	permSets [tt.NPNMaxVars + 1]*permSet
+	permOnce [tt.NPNMaxVars + 1]sync.Once
 )
 
-func transformsFor(n int) *transformSet {
-	transformOnce[n].Do(func() {
+func permsFor(n int) *permSet {
+	permOnce[n].Do(func() {
 		size := uint(1) << uint(n)
-		negs := uint32(1) << uint(n)
-		ts := &transformSet{perms: permutations(n), negs: negs}
-		ts.remaps = make([][]uint8, 0, len(ts.perms)*int(negs))
-		for _, perm := range ts.perms {
-			for neg := uint32(0); neg < negs; neg++ {
-				remap := make([]uint8, size)
-				for s := uint(0); s < size; s++ {
-					var o uint8
-					for i := 0; i < n; i++ {
-						bit := s >> uint(i) & 1
-						if neg>>uint(i)&1 == 1 {
-							bit ^= 1
-						}
-						if bit == 1 {
-							o |= 1 << uint(perm[i])
-						}
+		ps := &permSet{perms: permutations(n)}
+		ps.remaps = make([][]uint8, len(ps.perms))
+		for p, perm := range ps.perms {
+			remap := make([]uint8, size)
+			for s := uint(0); s < size; s++ {
+				var o uint8
+				for i := 0; i < n; i++ {
+					if s>>uint(i)&1 == 1 {
+						o |= 1 << perm[i]
 					}
-					remap[s] = o
 				}
-				ts.remaps = append(ts.remaps, remap)
+				remap[s] = o
 			}
+			ps.remaps[p] = remap
 		}
-		transformSets[n] = ts
+		permSets[n] = ps
 	})
-	return transformSets[n]
+	return permSets[n]
+}
+
+// flipMasks[i] selects the table positions whose variable i is 0.
+var flipMasks = [tt.NPNMaxVars]uint64{
+	0x5555555555555555,
+	0x3333333333333333,
+	0x0f0f0f0f0f0f0f0f,
+	0x00ff00ff00ff00ff,
+	0x0000ffff0000ffff,
+}
+
+// permute reorders the variables of a packed table: bit s of the result is
+// bit remap[s] of w.
+func permute(w uint64, remap []uint8) uint64 {
+	var b uint64
+	for s, o := range remap {
+		b |= (w >> o & 1) << uint(s)
+	}
+	return b
+}
+
+// negateInput complements variable i of a packed table by swapping its
+// variable-i halves.
+func negateInput(b uint64, i int) uint64 {
+	sh, m := uint(1)<<uint(i), flipMasks[i]
+	return (b&m)<<sh | (b>>sh)&m
+}
+
+// negateInputs complements the variables set in neg of a packed table.
+func negateInputs(b uint64, neg uint32) uint64 {
+	for i := 0; neg != 0; i, neg = i+1, neg>>1 {
+		if neg&1 == 1 {
+			b = negateInput(b, i)
+		}
+	}
+	return b
 }
 
 // canonicalize finds the lexicographically smallest output-table vector
 // over all shared input permutations/negations with per-output polarity
-// freedom, and the transform producing it from the input.
+// freedom, and the transform producing it from the input. Transforms are
+// numbered permutation-major (index p·2ⁿ + neg); of several transforms
+// reaching the smallest vector the lowest-numbered one is returned.
+//
+// The search is bit-parallel. Each output is permuted at most once per
+// permutation, and the 2ⁿ input negations of a permuted table are masked
+// half-swaps, since negation neg reads assignment s⊕neg of the table with
+// no negation. Output 0, which every candidate reads, is negated all 2ⁿ
+// ways up front at one half-swap each. A candidate is abandoned at the
+// first output whose polarity-normalized table is greater than the best
+// vector's under an equal prefix, so later outputs are rarely permuted at
+// all.
 func canonicalize(tables []tt.TT) ([]uint64, Transform) {
 	n := tables[0].N
 	size := uint(1) << uint(n)
 	mask := uint64(1)<<size - 1
-	packed := make([]uint64, len(tables))
+	negs := uint32(1) << uint(n)
+	m := len(tables)
+	packed := make([]uint64, m)
 	for k, f := range tables {
 		packed[k] = pack(f)
 	}
 
-	ts := transformsFor(n)
-	cand := make([]uint64, len(tables))
-	candNeg := make([]bool, len(tables))
-	best := make([]uint64, len(tables))
-	var bestTr Transform
-	first := true
-
-	for t, remap := range ts.remaps {
-		for k, w := range packed {
-			var b uint64
-			for s := uint(0); s < size; s++ {
-				b |= (w >> remap[s] & 1) << s
-			}
-			if nb := ^b & mask; nb < b {
-				cand[k], candNeg[k] = nb, true
-			} else {
-				cand[k], candNeg[k] = b, false
-			}
+	ps := permsFor(n)
+	best := make([]uint64, m)
+	bestP, bestIn := -1, uint32(0)
+	var bestNeg uint64 // bit k: canonical output k is complemented
+	cand := make([]uint64, m)
+	permuted := make([]uint64, m)
+	var first [1 << tt.NPNMaxVars]uint64 // output 0 under perm p, by negation
+	for p, remap := range ps.remaps {
+		first[0] = permute(packed[0], remap)
+		for neg := uint32(1); neg < negs; neg++ {
+			first[neg] = negateInput(first[neg&(neg-1)], bits.TrailingZeros32(neg))
 		}
-		if first || lexLess(cand, best) {
-			first = false
-			copy(best, cand)
-			bestTr = Transform{
-				N:         n,
-				Perm:      append([]uint8(nil), ts.perms[t/int(ts.negs)]...),
-				InputNeg:  uint32(t) % ts.negs,
-				OutputNeg: append([]bool(nil), candNeg...),
+		var have uint64 // bit k: permuted[k] holds output k ≥ 1 under perm p
+		for neg := uint32(0); neg < negs; neg++ {
+			less := bestP < 0
+			var candNeg uint64
+			k := 0
+			for ; k < m; k++ {
+				c := first[neg]
+				if k > 0 {
+					if have>>uint(k)&1 == 0 {
+						permuted[k] = permute(packed[k], remap)
+						have |= 1 << uint(k)
+					}
+					c = negateInputs(permuted[k], neg)
+				}
+				if nc := ^c & mask; nc < c {
+					c = nc
+					candNeg |= 1 << uint(k)
+				}
+				if !less {
+					if c > best[k] {
+						break
+					}
+					less = c < best[k]
+				}
+				cand[k] = c
+			}
+			if k == m && less {
+				copy(best, cand)
+				bestP, bestIn, bestNeg = p, neg, candNeg
 			}
 		}
 	}
-	return best, bestTr
-}
-
-func lexLess(a, b []uint64) bool {
-	for i := range a {
-		if a[i] != b[i] {
-			return a[i] < b[i]
-		}
+	tr := Transform{
+		N:         n,
+		Perm:      append([]uint8(nil), ps.perms[bestP]...),
+		InputNeg:  bestIn,
+		OutputNeg: make([]bool, m),
 	}
-	return false
+	for k := range tr.OutputNeg {
+		tr.OutputNeg[k] = bestNeg>>uint(k)&1 == 1
+	}
+	return best, tr
 }
 
 // permutations enumerates all permutations of 0..n-1 in a deterministic

@@ -192,8 +192,8 @@ func scriptInvocations(opt Options) ([]pass.Invocation, error) {
 // through every pass down to the SAT solver: cancelling ctx lets the
 // current pass wind down (the search passes return their validated
 // best-so-far), records the remaining passes as skipped, and returns the
-// verified result; cancelling before the netlist exists returns the
-// context error.
+// verified result. The front end through convert runs even on a context
+// cancelled before the call, so every cancelled run returns a circuit.
 func RunContext(ctx context.Context, spec *aig.AIG, opt Options) (*Result, error) {
 	start := time.Now()
 
@@ -242,9 +242,6 @@ func RunContext(ctx context.Context, spec *aig.AIG, opt Options) (*Result, error
 		return nil, fmt.Errorf("flow: %w", err)
 	}
 	if st.Net == nil {
-		if cerr := ctx.Err(); cerr != nil {
-			return nil, fmt.Errorf("flow: canceled before initialization: %w", cerr)
-		}
 		return nil, fmt.Errorf("flow: pipeline built no netlist (missing a convert pass?)")
 	}
 

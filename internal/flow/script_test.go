@@ -198,15 +198,31 @@ func TestScriptCancellationReturnsBestSoFar(t *testing.T) {
 	}
 }
 
-// TestCancelBeforeInitialization: a context dead on arrival must yield the
-// context error, not a nil-netlist panic or an empty result.
-func TestCancelBeforeInitialization(t *testing.T) {
+// TestCancelBeforeInitializationStillConverts: a context dead on arrival
+// still runs the front end through convert, skips every later pass as
+// canceled, and returns the converted circuit.
+func TestCancelBeforeInitializationStillConverts(t *testing.T) {
 	c := bench.Decoder(2)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	_, err := RunContext(ctx, aig.FromTruthTables(c.Tables), Options{})
-	if err == nil || !strings.Contains(err.Error(), "canceled before initialization") {
-		t.Fatalf("err = %v", err)
+	res, err := RunContext(ctx, aig.FromTruthTables(c.Tables), Options{Resub: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Final == nil {
+		t.Fatal("no circuit from a run canceled before it started")
+	}
+	if err := res.Spec.VerifyEquivalent(res.Final); err != nil {
+		t.Fatalf("circuit from a run canceled before it started: %v", err)
+	}
+	skipped := map[string]string{}
+	for _, sk := range res.Skipped {
+		skipped[sk.Name] = sk.Skipped
+	}
+	for _, name := range []string{"flow.cgp", "flow.resub", "flow.buffer"} {
+		if skipped[name] != "canceled" {
+			t.Fatalf("pass %s not recorded as canceled: %+v", name, res.Skipped)
+		}
 	}
 }
 

@@ -38,9 +38,11 @@ func NewManager(invs []Invocation) (*Manager, error) {
 // Run executes the pipeline. Once ctx is cancelled the current pass winds
 // down (every built-in pass threads ctx into its engine) and the remaining
 // passes are recorded as skipped rather than run — Run still returns nil
-// so the caller can hand back the validated best-so-far state. A pass
-// error, or a failed post-pass equivalence check, aborts the pipeline with
-// the pass's name wrapped into the error.
+// so the caller can hand back the validated best-so-far state. There is
+// no such state until a pass has built the netlist, so cancellation skips
+// nothing before that: the front end through convert is cheap and always
+// runs. A pass error, or a failed post-pass equivalence check, aborts the
+// pipeline with the pass's name wrapped into the error.
 func (m *Manager) Run(ctx context.Context, st *State) error {
 	if st.Reg == nil {
 		st.Reg = obs.NewRegistry()
@@ -52,7 +54,7 @@ func (m *Manager) Run(ctx context.Context, st *State) error {
 	root := st.Scope.Span("flow.synth")
 	defer root.End()
 	for i, p := range m.Passes {
-		if ctx.Err() != nil {
+		if ctx.Err() != nil && st.Net != nil {
 			for _, rest := range m.Passes[i:] {
 				st.recordSkip(rest.Name(), "canceled")
 			}

@@ -131,7 +131,13 @@ func (l *Library) SetReplicator(fn func(Entry)) {
 // implementation beats the stored gate count. Returns the stored entry and
 // whether it was adopted.
 func (l *Library) Learn(tables []tt.TT, net *rqfp.Netlist) (Entry, bool, error) {
-	e, adopted, err := l.add(tables, net, true)
+	return l.learn(tables, net, nil)
+}
+
+// learn is Learn with the class signature of tables precomputed (nil
+// computes it).
+func (l *Library) learn(tables []tt.TT, net *rqfp.Netlist, sig *signature) (Entry, bool, error) {
+	e, adopted, err := l.add(tables, net, sig, true)
 	switch {
 	case err != nil:
 		l.bump(func(s *Stats) { s.Rejects++ })
@@ -163,16 +169,16 @@ func (l *Library) Merge(e Entry) error {
 	// Check the advertised key before storing anything: a canonicalization
 	// skew across the fleet must surface as an error, not silently fork the
 	// key space — and a mismatched entry must not be adopted.
-	key, _, err := cache.Signature(tables)
-	if err != nil {
+	sig := signatureOf(tables)
+	if sig.err != nil {
 		l.bump(func(s *Stats) { s.MergeRejects++ })
-		return fmt.Errorf("template: merge: %w", err)
+		return fmt.Errorf("template: merge: %w", sig.err)
 	}
-	if key != e.Key {
+	if sig.key != e.Key {
 		l.bump(func(s *Stats) { s.MergeRejects++ })
-		return fmt.Errorf("template: merge: key mismatch: advertised %q, computed %q", e.Key, key)
+		return fmt.Errorf("template: merge: key mismatch: advertised %q, computed %q", e.Key, sig.key)
 	}
-	_, adopted, err := l.add(tables, net, false)
+	_, adopted, err := l.add(tables, net, &sig, false)
 	if err != nil {
 		l.bump(func(s *Stats) { s.MergeRejects++ })
 		return fmt.Errorf("template: merge: %w", err)
@@ -185,10 +191,24 @@ func (l *Library) Merge(e Entry) error {
 	return nil
 }
 
+// signature is the class key of a function and its transform onto the
+// class representative, as cache.Signature returns them.
+type signature struct {
+	key string
+	tr  *cache.Transform
+	err error
+}
+
+func signatureOf(tables []tt.TT) signature {
+	key, tr, err := cache.Signature(tables)
+	return signature{key: key, tr: tr, err: err}
+}
+
 // add is the single verifying store path. The netlist is transformed onto
 // the canonical class representative, shrunk, re-simulated against the
-// transformed tables, and kept only if it beats the stored gate count.
-func (l *Library) add(tables []tt.TT, net *rqfp.Netlist, publish bool) (Entry, bool, error) {
+// transformed tables, and kept only if it beats the stored gate count. sig,
+// when non-nil, is the precomputed signature of tables.
+func (l *Library) add(tables []tt.TT, net *rqfp.Netlist, sig *signature, publish bool) (Entry, bool, error) {
 	if len(tables) == 0 {
 		return Entry{}, false, errors.New("template: no outputs")
 	}
@@ -200,10 +220,14 @@ func (l *Library) add(tables []tt.TT, net *rqfp.Netlist, publish bool) (Entry, b
 		return Entry{}, false, fmt.Errorf("template: netlist interface %d/%d does not match tables %d/%d",
 			net.NumPI, len(net.POs), n, len(tables))
 	}
-	key, tr, err := cache.Signature(tables)
-	if err != nil {
-		return Entry{}, false, fmt.Errorf("template: %w", err)
+	if sig == nil {
+		s := signatureOf(tables)
+		sig = &s
 	}
+	if sig.err != nil {
+		return Entry{}, false, fmt.Errorf("template: %w", sig.err)
+	}
+	key, tr := sig.key, sig.tr
 	canon, err := tr.CanonicalNetlist(net.Shrink())
 	if err != nil {
 		return Entry{}, false, fmt.Errorf("template: %w", err)
@@ -250,26 +274,48 @@ func (l *Library) Match(tables []tt.TT) (*rqfp.Netlist, Entry, bool) {
 	if n < 1 || n > MaxInputs || len(tables) > MaxOutputs {
 		return nil, Entry{}, false
 	}
-	key, tr, err := cache.Signature(tables)
-	if err != nil {
+	sig := signatureOf(tables)
+	if sig.err != nil {
 		return nil, Entry{}, false
 	}
+	entry, ok := l.lookup(sig.key)
+	if !ok {
+		return nil, Entry{}, false
+	}
+	net, ok := l.materialize(entry, sig.tr, tables)
+	if !ok {
+		return nil, Entry{}, false
+	}
+	return net, entry, true
+}
+
+// lookup returns the stored entry of a class key, counting a miss when
+// there is none.
+func (l *Library) lookup(key string) (Entry, bool) {
 	l.mu.RLock()
 	entry, ok := l.entries[key]
 	l.mu.RUnlock()
 	if !ok {
 		l.bump(func(s *Stats) { s.Misses++ })
-		return nil, Entry{}, false
 	}
+	return entry, ok
+}
+
+// materialize parses a looked-up entry and transforms it onto the
+// function tables compute (tr is their transform onto the class
+// representative), counting a hit, or a reject when the result fails
+// re-simulation. Every gate of the stored netlist stays reachable through
+// the transform, so the result has at least entry.Gates gates.
+func (l *Library) materialize(entry Entry, tr *cache.Transform, tables []tt.TT) (*rqfp.Netlist, bool) {
 	canon, err := rqfp.ReadText(strings.NewReader(entry.Netlist))
 	if err != nil {
 		l.bump(func(s *Stats) { s.Rejects++ })
-		return nil, Entry{}, false
+		return nil, false
 	}
 	net, err := tr.OriginalNetlist(canon)
 	if err != nil {
 		l.bump(func(s *Stats) { s.Rejects++ })
-		return nil, Entry{}, false
+		return nil, false
 	}
 	net = net.Shrink()
 	// Trust but verify: the entry was simulation-checked when stored, but
@@ -277,10 +323,10 @@ func (l *Library) Match(tables []tt.TT) (*rqfp.Netlist, Entry, bool) {
 	// as a failed splice downstream.
 	if net.Validate() != nil || !tablesEqual(simulateTables(net), tables) {
 		l.bump(func(s *Stats) { s.Rejects++ })
-		return nil, Entry{}, false
+		return nil, false
 	}
 	l.bump(func(s *Stats) { s.Hits++ })
-	return net, entry, true
+	return net, true
 }
 
 // Dump snapshots every entry sorted by key, for seeding a replication peer
@@ -334,7 +380,7 @@ func (l *Library) SaveFile(path string) error {
 // Returns the number of entries adopted and the number rejected.
 func (l *Library) Load(r io.Reader) (adopted, rejected int, err error) {
 	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 1<<20), 1<<24)
+	sc.Buffer(nil, 1<<24)
 	var pendingErr error
 	for sc.Scan() {
 		line := strings.TrimSpace(sc.Text())

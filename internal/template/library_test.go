@@ -6,6 +6,7 @@ import (
 	"strings"
 	"testing"
 
+	"github.com/reversible-eda/rcgp/internal/cache"
 	"github.com/reversible-eda/rcgp/internal/rqfp"
 	"github.com/reversible-eda/rcgp/internal/tt"
 )
@@ -316,6 +317,56 @@ func TestStarterLibraryLoadsVerified(t *testing.T) {
 		}
 		if !tablesEqual(simulateTables(got), simulateTables(net)) {
 			t.Fatalf("entry %s: self-match computes a different function", e.Key)
+		}
+	}
+}
+
+// The rewrite loop rejects a hit whose stored gate count is not below the
+// window size before materializing it. That is exact only if un-applying
+// any NPN transform never drops a gate of a stored netlist: TransformIO
+// adds polarity gates but removes none, and every stored gate stays
+// reachable from the outputs, so Shrink keeps it. Check it for every
+// starter entry under a sample of transforms, the identity and full
+// negation included.
+func TestMaterializeNeverShrinksBelowEntryGates(t *testing.T) {
+	lib, err := Starter()
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(12))
+	for _, e := range lib.Dump() {
+		canon, err := rqfp.ReadText(strings.NewReader(e.Netlist))
+		if err != nil {
+			t.Fatalf("%s: %v", e.Key, err)
+		}
+		for trial := 0; trial < 16; trial++ {
+			tr := cache.Transform{N: e.NumPI, Perm: make([]uint8, e.NumPI), OutputNeg: make([]bool, e.NumPO)}
+			for i, p := range rng.Perm(e.NumPI) {
+				tr.Perm[i] = uint8(p)
+			}
+			switch trial {
+			case 0:
+				for i := range tr.Perm {
+					tr.Perm[i] = uint8(i)
+				}
+			case 1:
+				tr.InputNeg = 1<<uint(e.NumPI) - 1
+				for k := range tr.OutputNeg {
+					tr.OutputNeg[k] = true
+				}
+			default:
+				tr.InputNeg = uint32(rng.Intn(1 << uint(e.NumPI)))
+				for k := range tr.OutputNeg {
+					tr.OutputNeg[k] = rng.Intn(2) == 1
+				}
+			}
+			net, err := tr.OriginalNetlist(canon)
+			if err != nil {
+				t.Fatalf("%s: %v", e.Key, err)
+			}
+			if got := len(net.Shrink().Gates); got < e.Gates {
+				t.Fatalf("%s under %+v: %d gates after the transform, entry stores %d", e.Key, tr, got, e.Gates)
+			}
 		}
 	}
 }

@@ -1,10 +1,12 @@
 package template
 
 import (
+	"encoding/binary"
 	"fmt"
 	"time"
 
 	"github.com/reversible-eda/rcgp/internal/rqfp"
+	"github.com/reversible-eda/rcgp/internal/tt"
 	"github.com/reversible-eda/rcgp/internal/window"
 )
 
@@ -78,12 +80,16 @@ func (r Report) String() string {
 // gate count. Rewriting restarts at the same position after a hit (the
 // replacement may enable another), advances otherwise, and repeats whole
 // sweeps until a fixpoint or MaxRounds. Search-free: the only work per
-// window is simulation plus one canonical-key lookup.
+// window is simulation plus one canonical-key lookup, and a window whose
+// table already occurred in this call reuses that table's signature. A
+// hit whose stored implementation is not smaller than the window is
+// rejected before it is parsed.
 func Rewrite(net *rqfp.Netlist, lib *Library, opt RewriteOptions) (*rqfp.Netlist, Report, error) {
 	opt = opt.withDefaults()
 	start := time.Now()
 	cur := net.Shrink()
 	rep := Report{GatesBefore: len(cur.Gates)}
+	sigs := signatureMemo{}
 
 	for round := 0; round < opt.MaxRounds; round++ {
 		rep.Rounds++
@@ -103,18 +109,30 @@ func Rewrite(net *rqfp.Netlist, lib *Library, opt RewriteOptions) (*rqfp.Netlist
 				sub := window.Extract(cur, ext)
 				tables := simulateTables(sub)
 				rep.Windows++
+				sig := sigs.of(tables)
 				if opt.Learn && w <= opt.LearnMaxGates {
-					if _, adopted, err := lib.Learn(tables, sub); err == nil && adopted {
+					if _, adopted, err := lib.learn(tables, sub, &sig); err == nil && adopted {
 						rep.Learned++
 					}
 				}
-				repl, _, ok := lib.Match(tables)
+				if sig.err != nil {
+					rep.Misses++
+					continue
+				}
+				entry, ok := lib.lookup(sig.key)
 				if !ok {
 					rep.Misses++
 					continue
 				}
 				rep.Hits++
-				if len(repl.Gates) >= w {
+				if entry.Gates >= w {
+					// The class is known, but its implementation cannot
+					// shrink this window: materializing only adds gates.
+					lib.bump(func(s *Stats) { s.Hits++ })
+					continue
+				}
+				repl, ok := lib.materialize(entry, sig.tr, tables)
+				if !ok || len(repl.Gates) >= w {
 					continue // a hit, but not an improvement at this window
 				}
 				next, err := window.Splice(cur, ext, repl)
@@ -147,4 +165,27 @@ func Rewrite(net *rqfp.Netlist, lib *Library, opt RewriteOptions) (*rqfp.Netlist
 	rep.GatesAfter = len(cur.Gates)
 	rep.Elapsed = time.Since(start)
 	return cur, rep, nil
+}
+
+// signatureMemo caches class signatures by window truth tables for the
+// duration of one Rewrite call: windows repeat, within a sweep and across
+// sweeps, and the canonical search dominates the per-window cost.
+type signatureMemo map[string]signature
+
+func (m signatureMemo) of(tables []tt.TT) signature {
+	// All tables of a window share one arity, so the arity and the table
+	// words identify the function.
+	buf := make([]byte, 1, 1+8*len(tables)*len(tables[0].Bits))
+	buf[0] = byte(tables[0].N)
+	for _, f := range tables {
+		for _, w := range f.Bits {
+			buf = binary.LittleEndian.AppendUint64(buf, w)
+		}
+	}
+	if sig, ok := m[string(buf)]; ok {
+		return sig
+	}
+	sig := signatureOf(tables)
+	m[string(buf)] = sig
+	return sig
 }

@@ -621,9 +621,9 @@ func (d *Design) Synthesize(opt Options) (*Result, error) {
 
 // SynthesizeContext is Synthesize under an external cancellation context,
 // threaded through every stage down to the SAT solver. Cancelling ctx
-// after the evolution has started returns the validated best-so-far
-// circuit (Telemetry.StopReason records why the search stopped);
-// cancelling before the pipeline is built returns the context error.
+// returns the validated best-so-far circuit (Telemetry.StopReason records
+// why the search stopped). The front end that builds the first circuit
+// always runs, so even a context cancelled before the call yields one.
 func (d *Design) SynthesizeContext(ctx context.Context, opt Options) (*Result, error) {
 	var cacheTables []tt.TT
 	if opt.Cache != nil && d.aig.NumPIs() >= 1 && d.aig.NumPIs() <= cache.MaxInputs &&
