@@ -60,16 +60,12 @@ type engine struct {
 	// every adoption and accepted migration so worker-local DeltaEvaluators
 	// know when their resident parent simulation is out of date.
 	parentEpoch uint64
-	// incremental is true when Options.Incremental is set and the evaluator
-	// supports delta evaluation.
-	incremental bool
 
 	slots []*evalSlot
 	// starts carries one wakeup per worker per generation; worker w then
-	// runs the static slot range batches[w] = [lo, hi). Both are nil when
-	// Workers == 1 (the coordinator runs the whole batch inline).
-	starts  []chan struct{}
-	batches [][2]int
+	// runs its static slot range. Nil when Workers == 1 (the coordinator
+	// runs the whole batch inline).
+	starts []chan struct{}
 	// shards are the per-worker local eval-latency accumulators, drained
 	// into hists at batch boundaries; nil entries when unmetered. Index 0
 	// doubles as the sequential engine's shard.
@@ -86,7 +82,7 @@ type engine struct {
 	pendingCex [][]bool
 
 	hists    []obs.HistogramSet // per-worker eval latency, nil entries when unmetered
-	coneHist obs.HistogramSet   // dirty-cone size distribution (incremental mode)
+	coneHist obs.HistogramSet   // dirty-cone size distribution (delta evaluators only)
 
 	// Live search gauges, refreshed at the progress/flight cadence (no-op
 	// sets when no metrics scope is attached).
@@ -105,15 +101,17 @@ type engine struct {
 // proof already succeeded during pipeline validation), so even a budget
 // that expires immediately still yields a valid parent rather than an
 // error. close must be called when the engine is done.
+//
+// Offspring are scored by delta evaluation whenever ev implements
+// DeltaEvaluator (SpecEvaluator does): the full Evaluate path then only
+// scores the initial parent and the stale-parent fallback. Evaluators
+// without delta support take the full path for every offspring.
 func newEngine(initial *genotype, ev Evaluator, opt Options, island int) (*engine, error) {
 	e := &engine{opt: opt, island: island, eval: ev, r: rand.New(rand.NewSource(opt.Seed))}
 	e.parentEpoch = 1
 	e.startTime = time.Now()
 	if opt.FlightEvery > 0 {
 		e.flight = newFlightRing(opt.FlightCap)
-	}
-	if _, ok := ev.(DeltaEvaluator); ok && opt.Incremental {
-		e.incremental = true
 	}
 	e.parent = initial
 	out := ev.Evaluate(context.Background(), e.parent.net)
@@ -138,7 +136,7 @@ func newEngine(initial *genotype, ev Evaluator, opt Options, island int) (*engin
 			e.hists[w] = opt.Metrics.Histogram(e.histName(w))
 			e.shards[w] = new(obs.HistShard)
 		}
-		if e.incremental {
+		if _, ok := ev.(DeltaEvaluator); ok {
 			name := "cgp.cone_gates"
 			if island >= 0 {
 				name = fmt.Sprintf("cgp.cone_gates.island_%d", island)
@@ -155,13 +153,14 @@ func newEngine(initial *genotype, ev Evaluator, opt Options, island int) (*engin
 	}
 	if opt.Workers > 1 {
 		e.starts = make([]chan struct{}, opt.Workers)
-		e.batches = make([][2]int, opt.Workers)
 		for w := 0; w < opt.Workers; w++ {
 			// Contiguous near-even split; Workers <= Lambda (clamped by
-			// withDefaults), so every worker owns at least one slot.
-			e.batches[w] = [2]int{w * opt.Lambda / opt.Workers, (w + 1) * opt.Lambda / opt.Workers}
+			// withDefaults), so every worker owns at least one slot. The
+			// worker gets its channel and range as arguments: close clears
+			// e.starts, possibly before the goroutine first runs.
 			e.starts[w] = make(chan struct{}, 1)
-			go e.worker(w, ev.Fork())
+			lo, hi := w*opt.Lambda/opt.Workers, (w+1)*opt.Lambda/opt.Workers
+			go e.worker(w, e.starts[w], lo, hi, ev.Fork())
 		}
 	}
 	e.flushRoot()
@@ -195,14 +194,14 @@ func (e *engine) close() {
 	e.flushRoot()
 }
 
-// worker evaluates its static slot range once per wakeup. Everything the
-// batch reads (parent, fitness, epoch, seeds, ctx) was published by the
-// coordinator before the starts send; everything it writes lands in its own
-// slots and its own shards, which it drains before signalling completion.
-func (e *engine) worker(w int, ev Evaluator) {
-	lo, hi := e.batches[w][0], e.batches[w][1]
+// worker evaluates the slot range [lo, hi) once per wakeup on start.
+// Everything the batch reads (parent, fitness, epoch, seeds, ctx) was
+// published by the coordinator before the starts send; everything it
+// writes lands in its own slots and its own shards, which it drains before
+// signalling completion.
+func (e *engine) worker(w int, start <-chan struct{}, lo, hi int, ev Evaluator) {
 	flusher, _ := ev.(StatsFlusher)
-	for range e.starts[w] {
+	for range start {
 		e.runBatch(lo, hi, ev, e.shards[w])
 		if e.shards[w] != nil {
 			e.hists[w].Drain(e.shards[w])
@@ -214,15 +213,15 @@ func (e *engine) worker(w int, ev Evaluator) {
 	}
 }
 
-// runBatch mutates and evaluates slots [lo, hi) on ev. The incremental
-// parent re-sync is hoisted to the top of the batch — the parent is frozen
-// for the whole generation, so once per batch is exactly as often as it can
-// change. A cancellation mid-batch marks the remaining slots aborted
-// without evaluating them; the reducer abandons the generation either way.
+// runBatch mutates and evaluates slots [lo, hi) on ev, by delta evaluation
+// when ev supports it. The resident-parent re-sync is hoisted to the top of
+// the batch — the parent is frozen for the whole generation, so once per
+// batch is exactly as often as it can change. A cancellation mid-batch
+// marks the remaining slots aborted without evaluating them; the reducer
+// abandons the generation either way.
 func (e *engine) runBatch(lo, hi int, ev Evaluator, shard *obs.HistShard) {
-	var dev DeltaEvaluator
-	if e.incremental {
-		dev = ev.(DeltaEvaluator)
+	dev, ok := ev.(DeltaEvaluator)
+	if ok {
 		dev.SyncParent(e.parentEpoch, e.parent.net, e.parentFit)
 	}
 	for i := lo; i < hi; i++ {

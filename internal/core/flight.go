@@ -25,8 +25,9 @@ type FlightSample struct {
 	Depth   int `json:"depth"`
 	JJs     int `json:"jjs"`
 	// FullEvals, IncrementalEvals, and DedupSkips split Evaluations by how
-	// each offspring was scored: full re-simulation, dirty-cone incremental
-	// re-simulation, or phenotype-dedup fitness inheritance.
+	// each candidate was scored: full simulation (the initial evaluation
+	// and stale-parent fallbacks), dirty-cone incremental re-simulation, or
+	// phenotype-dedup fitness inheritance.
 	FullEvals        int64 `json:"full_evals"`
 	IncrementalEvals int64 `json:"incremental_evals"`
 	DedupSkips       int64 `json:"dedup_skips"`

@@ -79,32 +79,35 @@ func TestFlightRecorderSamplesTrajectory(t *testing.T) {
 }
 
 // The flight recorder must not perturb the search: a recorded run and an
-// unrecorded run on the same seed must adopt the same final chromosome.
+// unrecorded run on the same seed must adopt the same final chromosome, on
+// the delta path and on the full reference path alike.
 func TestFlightRecorderPreservesDeterminism(t *testing.T) {
-	for _, workers := range []int{1, 4} {
-		spec1, n1 := buildCase(decoderTables())
-		plain, err := Optimize(n1, spec1, Options{Generations: 500, Seed: 9, Workers: workers, Incremental: true})
-		if err != nil {
-			t.Fatal(err)
+	for _, full := range []bool{false, true} {
+		for _, workers := range []int{1, 4} {
+			spec1, n1 := buildCase(decoderTables())
+			plain := optimizePath(t, n1, spec1, Options{Generations: 500, Seed: 9, Workers: workers}, full)
+			spec2, n2 := buildCase(decoderTables())
+			recorded := optimizePath(t, n2, spec2, Options{
+				Generations: 500, Seed: 9, Workers: workers,
+				FlightEvery: 7, FlightCap: 16,
+			}, full)
+			if plain.Fitness != recorded.Fitness {
+				t.Fatalf("full=%v workers=%d: recording changed fitness: %v vs %v", full, workers, plain.Fitness, recorded.Fitness)
+			}
+			if plain.Best.String() != recorded.Best.String() {
+				t.Fatalf("full=%v workers=%d: recording changed the final chromosome", full, workers)
+			}
+			if len(recorded.Flight) != 16 {
+				t.Fatalf("full=%v workers=%d: ring kept %d samples, want FlightCap=16", full, workers, len(recorded.Flight))
+			}
+			last := recorded.Flight[len(recorded.Flight)-1]
+			if full && last.FullEvals != last.Evaluations {
+				t.Fatalf("workers=%d: full path sampled %d full of %d evaluations", workers, last.FullEvals, last.Evaluations)
+			}
+			if !full && last.IncrementalEvals == 0 {
+				t.Fatalf("workers=%d: delta path sampled no incremental evaluations: %+v", workers, last)
+			}
 		}
-		spec2, n2 := buildCase(decoderTables())
-		recorded, err := Optimize(n2, spec2, Options{
-			Generations: 500, Seed: 9, Workers: workers, Incremental: true,
-			FlightEvery: 7, FlightCap: 16,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if plain.Fitness != recorded.Fitness {
-			t.Fatalf("workers=%d: recording changed fitness: %v vs %v", workers, plain.Fitness, recorded.Fitness)
-		}
-		if plain.Best.String() != recorded.Best.String() {
-			t.Fatalf("workers=%d: recording changed the final chromosome", workers)
-		}
-		if len(recorded.Flight) != 16 {
-			t.Fatalf("workers=%d: ring kept %d samples, want FlightCap=16", workers, len(recorded.Flight))
-		}
-		_ = spec1
 	}
 }
 
@@ -112,7 +115,7 @@ func TestScopeMetricsDoubleWrite(t *testing.T) {
 	jobReg, globalReg := obs.NewRegistry(), obs.NewRegistry()
 	spec, n := buildCase(decoderTables())
 	res, err := Optimize(n, spec, Options{
-		Generations: 300, Seed: 3, Incremental: true,
+		Generations: 300, Seed: 3,
 		Metrics:     obs.NewScope(jobReg, globalReg),
 		FlightEvery: 50,
 	})

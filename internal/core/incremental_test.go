@@ -5,16 +5,44 @@ import (
 	"math/rand"
 	"testing"
 
+	"github.com/reversible-eda/rcgp/internal/bench"
 	"github.com/reversible-eda/rcgp/internal/cec"
 	"github.com/reversible-eda/rcgp/internal/rqfp"
 	"github.com/reversible-eda/rcgp/internal/tt"
 )
 
-// The incremental engine's contract: per seed, the trajectory of adopted
-// parents — and therefore the final netlist, fitness, and every
-// deterministic counter except the full/incremental/dedup split — is
-// bit-identical to the full reference path. These tests are the
-// differential gate for that contract.
+// The delta path's contract: per seed, the trajectory of adopted parents —
+// and therefore the final netlist, fitness, and every deterministic counter
+// except the full/incremental/dedup split — is bit-identical to the full
+// reference path. These tests are the differential gate for that contract.
+
+// fullPath hides DeltaEvaluator from the engine, so every offspring is
+// scored by the full Evaluate path: the reference the production delta path
+// is compared against.
+type fullPath struct{ Evaluator }
+
+func (f fullPath) Fork() Evaluator { return fullPath{f.Evaluator.Fork()} }
+
+func (f fullPath) FlushStats() {
+	if s, ok := f.Evaluator.(StatsFlusher); ok {
+		s.FlushStats()
+	}
+}
+
+// optimizePath runs the engine on spec through the delta path, or through
+// the full reference path when full is set.
+func optimizePath(t testing.TB, initial *rqfp.Netlist, spec *cec.Spec, opt Options, full bool) *Result {
+	t.Helper()
+	var ev Evaluator = NewSpecEvaluator(spec)
+	if full {
+		ev = fullPath{ev}
+	}
+	res, err := OptimizeWithEvaluator(context.Background(), initial, ev, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res
+}
 
 func fullAdderTables() []tt.TT {
 	sum := tt.FromFunc(3, func(s uint) bool { return (s&1+s>>1&1+s>>2&1)%2 == 1 })
@@ -22,10 +50,10 @@ func fullAdderTables() []tt.TT {
 	return []tt.TT{sum, cout}
 }
 
-func runMode(t *testing.T, tables []tt.TT, incremental bool, workers, islands int, seed int64) *Result {
+func runMode(t *testing.T, tables []tt.TT, full bool, workers, islands int, seed int64) *Result {
 	t.Helper()
 	spec, n := buildCase(tables)
-	res, err := Optimize(n, spec, Options{
+	return optimizePath(t, n, spec, Options{
 		Generations:  1200,
 		Lambda:       8,
 		MutationRate: 0.15,
@@ -33,12 +61,7 @@ func runMode(t *testing.T, tables []tt.TT, incremental bool, workers, islands in
 		Workers:      workers,
 		Islands:      islands,
 		MigrateEvery: 300,
-		Incremental:  incremental,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	return res
+	}, full)
 }
 
 // assertSameTrajectory compares everything that must match between modes:
@@ -72,27 +95,50 @@ func TestIncrementalMatchesFullTrajectory(t *testing.T) {
 		{"workers4", 4, 1},
 		{"islands3", 4, 3},
 	} {
-		full := runMode(t, decoderTables(), false, c.workers, c.islands, 42)
-		inc := runMode(t, decoderTables(), true, c.workers, c.islands, 42)
+		full := runMode(t, decoderTables(), true, c.workers, c.islands, 42)
+		inc := runMode(t, decoderTables(), false, c.workers, c.islands, 42)
 		assertSameTrajectory(t, full, inc, c.label)
 	}
 }
 
 func TestIncrementalMatchesFullAdder(t *testing.T) {
-	full := runMode(t, fullAdderTables(), false, 1, 1, 3)
-	inc := runMode(t, fullAdderTables(), true, 1, 1, 3)
+	full := runMode(t, fullAdderTables(), true, 1, 1, 3)
+	inc := runMode(t, fullAdderTables(), false, 1, 1, 3)
 	assertSameTrajectory(t, full, inc, "full_adder")
 }
 
+// TestIncrementalMatchesFullHwb8 replays a short search on the paper's
+// largest exhaustive benchmark, hwb8, at the tiny mutation rate where most
+// offspring differ from the parent by one gene: the regime the dirty-cone
+// path is built for. Both paths must evolve the identical circuit.
+func TestIncrementalMatchesFullHwb8(t *testing.T) {
+	c, err := bench.ByName("hwb8")
+	if err != nil {
+		t.Fatal(err)
+	}
+	run := func(full bool) *Result {
+		spec, n := buildCase(c.Tables)
+		return optimizePath(t, n, spec, Options{Generations: 300, MutationRate: 0.001, Seed: 1}, full)
+	}
+	full, inc := run(true), run(false)
+	assertSameTrajectory(t, full, inc, "hwb8")
+	if inc.Telemetry.IncrementalEvals == 0 {
+		t.Fatal("hwb8: the search never took the delta path")
+	}
+}
+
 func TestIncrementalTelemetrySplit(t *testing.T) {
-	inc := runMode(t, decoderTables(), true, 1, 1, 42)
+	inc := runMode(t, decoderTables(), false, 1, 1, 42)
 	tel := inc.Telemetry
 	if got := tel.DedupSkips + tel.IncrementalEvals + tel.FullEvals; got != tel.Evaluations {
 		t.Fatalf("split %d+%d+%d = %d != Evaluations %d",
 			tel.DedupSkips, tel.IncrementalEvals, tel.FullEvals, got, tel.Evaluations)
 	}
 	if tel.IncrementalEvals == 0 {
-		t.Fatal("incremental mode never took the delta path")
+		t.Fatal("the search never took the delta path")
+	}
+	if tel.FullEvals != 1 {
+		t.Fatalf("FullEvals = %d, want 1 (the initial evaluation only)", tel.FullEvals)
 	}
 	if tel.DedupSkips == 0 {
 		t.Fatal("no offspring was ever deduplicated against its parent (expected for no-op and inactive-gene mutations)")
@@ -101,13 +147,13 @@ func TestIncrementalTelemetrySplit(t *testing.T) {
 		tel.Evaluations, tel.DedupSkips, tel.IncrementalEvals, tel.FullEvals,
 		float64(tel.ConeGates)/float64(tel.IncrementalEvals))
 
-	full := runMode(t, decoderTables(), false, 1, 1, 42)
+	full := runMode(t, decoderTables(), true, 1, 1, 42)
 	tf := full.Telemetry
 	if tf.DedupSkips != 0 || tf.IncrementalEvals != 0 || tf.ConeGates != 0 {
-		t.Fatalf("full mode reported incremental counters: %+v", tf)
+		t.Fatalf("full path reported incremental counters: %+v", tf)
 	}
 	if tf.FullEvals != tf.Evaluations {
-		t.Fatalf("full mode: FullEvals %d != Evaluations %d", tf.FullEvals, tf.Evaluations)
+		t.Fatalf("full path: FullEvals %d != Evaluations %d", tf.FullEvals, tf.Evaluations)
 	}
 }
 
@@ -148,22 +194,17 @@ func TestIncrementalNonExhaustive(t *testing.T) {
 		}
 		return cec.NewSpecFromNetlist(n, 2, 1), n
 	}
-	run := func(incremental bool) *Result {
+	run := func(full bool) *Result {
 		spec, n := build()
-		res, err := Optimize(n, spec, Options{
+		return optimizePath(t, n, spec, Options{
 			Generations:  400,
 			Lambda:       4,
 			MutationRate: 0.1,
 			Seed:         11,
-			Incremental:  incremental,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return res
+		}, full)
 	}
-	full := run(false)
-	inc := run(true)
+	full := run(true)
+	inc := run(false)
 	assertSameTrajectory(t, full, inc, "non_exhaustive")
 }
 

@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"context"
 	"math/rand"
 	"runtime"
 	"testing"
@@ -18,10 +19,10 @@ import (
 // in offspring order. These tests are the -race regression suite for that
 // contract.
 
-func optimizeCombined(t *testing.T, workers, islands int, incremental bool) *Result {
+func optimizeCombined(t *testing.T, workers, islands int, full bool) *Result {
 	t.Helper()
 	spec, n := buildCase(decoderTables())
-	res, err := Optimize(n, spec, Options{
+	return optimizePath(t, n, spec, Options{
 		Generations:  1500,
 		Lambda:       8,
 		MutationRate: 0.15,
@@ -29,12 +30,7 @@ func optimizeCombined(t *testing.T, workers, islands int, incremental bool) *Res
 		Workers:      workers,
 		Islands:      islands,
 		MigrateEvery: 250,
-		Incremental:  incremental,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	return res
+	}, full)
 }
 
 func optimizeWithWorkers(t *testing.T, workers, islands int) *Result {
@@ -54,6 +50,27 @@ func TestParallelDeterministicAcrossWorkers(t *testing.T) {
 		}
 		if got.Evaluations != want.Evaluations {
 			t.Fatalf("Workers=%d evaluations %d != %d", workers, got.Evaluations, want.Evaluations)
+		}
+	}
+}
+
+// TestCanceledSearchWorkerStartup runs searches whose context is canceled
+// before the first generation, so run returns and close tears the worker
+// pool down while its goroutines may not have been scheduled yet. A worker
+// that reads shared engine state on start-up instead of its own arguments
+// crashes the process here.
+func TestCanceledSearchWorkerStartup(t *testing.T) {
+	spec, n := buildCase(decoderTables())
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	for i := 0; i < 2000; i++ {
+		res, err := OptimizeWithEvaluator(ctx, n, NewSpecEvaluator(spec), Options{Workers: 8, Lambda: 8, Seed: int64(i)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Telemetry.StopReason != StopCanceled || res.Generations != 0 {
+			t.Fatalf("run %d: stop reason %q after %d generations, want %q after 0",
+				i, res.Telemetry.StopReason, res.Generations, StopCanceled)
 		}
 	}
 }
@@ -84,8 +101,8 @@ func TestIslandDeterministicPerSeed(t *testing.T) {
 // parent re-syncs, and migration barriers may not leak into the result.
 // Run under -race it also stresses the lock-free snapshot protocol.
 func TestCombinedModesDeterminism(t *testing.T) {
-	base := optimizeCombined(t, 1, 3, false)
-	combined := optimizeCombined(t, 8, 3, true)
+	base := optimizeCombined(t, 1, 3, true)
+	combined := optimizeCombined(t, 8, 3, false)
 	if combined.Fitness != base.Fitness {
 		t.Fatalf("combined-mode fitness %+v != sequential full-eval fitness %+v", combined.Fitness, base.Fitness)
 	}
@@ -102,7 +119,7 @@ func TestCombinedModesDeterminism(t *testing.T) {
 	}
 	// And the whole thing must be repeatable bit-for-bit, telemetry splits
 	// included.
-	again := optimizeCombined(t, 8, 3, true)
+	again := optimizeCombined(t, 8, 3, false)
 	ta, tb := combined.Telemetry, again.Telemetry
 	ta.Elapsed, tb.Elapsed = 0, 0 // only the wall clock may differ
 	if ta != tb {
@@ -148,7 +165,6 @@ func optimizePortfolio(t *testing.T, workers, provers int) *Result {
 		MutationRate: 0.1,
 		Seed:         42,
 		Workers:      workers,
-		Incremental:  true,
 	})
 	if err != nil {
 		t.Fatal(err)

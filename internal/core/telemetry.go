@@ -112,11 +112,13 @@ type Telemetry struct {
 	Migrations         int64
 	MigrationsAccepted int64
 	// DedupSkips, IncrementalEvals, and FullEvals split Evaluations by how
-	// the incremental engine scored each offspring: inherited from the
-	// parent because the phenotype is identical, scored by dirty-cone
-	// re-simulation, or scored by the full reference path (always, when
-	// Options.Incremental is off). Evaluations counts all three, so the
-	// counter — and checkpoint/resume arithmetic — is mode-independent.
+	// each candidate was scored: inherited from the parent because the
+	// phenotype is identical, scored by dirty-cone re-simulation, or scored
+	// by the full path. The full path scores the initial parent, any
+	// offspring whose worker had no resident parent (the stale-parent
+	// fallback), and every offspring of an evaluator without delta support.
+	// Evaluations counts all three, so the counter — and checkpoint/resume
+	// arithmetic — does not depend on the split.
 	DedupSkips       int64
 	IncrementalEvals int64
 	FullEvals        int64

@@ -193,10 +193,17 @@ func TestStageTimesAndTrace(t *testing.T) {
 	if sum > res.Runtime+50*time.Millisecond {
 		t.Fatalf("stage sum %v exceeds runtime %v", sum, res.Runtime)
 	}
-	// CEC counters must cover every CGP evaluation plus the per-stage
-	// verification checks.
-	if res.CEC.Checks < res.CGP.Evaluations {
-		t.Fatalf("CEC checks %d < CGP evaluations %d", res.CEC.Checks, res.CGP.Evaluations)
+	// CEC counters must cover every CGP evaluation that consulted the
+	// oracle plus the per-stage verification checks. A dedup-skipped
+	// offspring inherits its parent's fitness without an oracle call, and
+	// the search must have skipped some, or the delta path never ran.
+	tel := res.CGP.Telemetry
+	if tel.DedupSkips == 0 {
+		t.Fatal("no dedup skips: the search never took the delta path")
+	}
+	if res.CEC.Checks < tel.Evaluations-tel.DedupSkips {
+		t.Fatalf("CEC checks %d < CGP evaluations %d - dedup skips %d",
+			res.CEC.Checks, tel.Evaluations, tel.DedupSkips)
 	}
 	if res.CEC.ExhaustiveProved == 0 {
 		t.Fatal("no exhaustive proofs recorded for a 2-input circuit")

@@ -110,6 +110,21 @@ func TestBuildBadOptions(t *testing.T) {
 	}
 }
 
+// The search passes have one offspring-evaluation path, so the option that
+// used to select it is gone: a script naming it is an error, not a no-op.
+func TestBuildRejectsIncrementalOption(t *testing.T) {
+	for _, script := range []string{"cgp(incremental=true)", "hybrid(incremental=false)"} {
+		invs, err := ParseScript(script)
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, err = Build(invs[0])
+		if err == nil || !strings.Contains(err.Error(), `unknown option "incremental"`) {
+			t.Fatalf("%s: err = %v, want unknown option \"incremental\"", script, err)
+		}
+	}
+}
+
 func TestBuildGoodOptions(t *testing.T) {
 	cases := []Invocation{
 		{Name: "aig.resyn2"},

@@ -2,6 +2,7 @@ package serve
 
 import (
 	"context"
+	"fmt"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
@@ -177,6 +178,38 @@ func TestServerCancelRunning(t *testing.T) {
 	// The wind-down still yields the verified best-so-far circuit.
 	if done.Result == nil || !done.Result.Verified {
 		t.Fatalf("canceled job result %+v", done.Result)
+	}
+}
+
+// A canceled job whose synthesis fails keeps StatusCanceled but reports the
+// failure itself, so an operator sees why no circuit came back.
+func TestServerCancelReportsError(t *testing.T) {
+	s, c := newTestServer(t, Config{})
+	s.synthesize = func(ctx context.Context, _ *rcgp.Design, _ rcgp.Options) (*rcgp.Result, error) {
+		<-ctx.Done()
+		return nil, fmt.Errorf("flow: flow.convert: oracle setup interrupted: %w", ctx.Err())
+	}
+	ctx := context.Background()
+	j, err := c.Submit(ctx, fullAdder)
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitStatus(t, c, j.ID, client.StatusRunning)
+	if err := c.Cancel(ctx, j.ID); err != nil {
+		t.Fatal(err)
+	}
+	done, err := c.Wait(ctx, j.ID, 20*time.Millisecond)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if done.Status != client.StatusCanceled {
+		t.Fatalf("canceled job finished %q", done.Status)
+	}
+	if want := "flow: flow.convert: oracle setup interrupted: context canceled"; done.Error != want {
+		t.Fatalf("error = %q, want %q", done.Error, want)
+	}
+	if done.Result != nil {
+		t.Fatalf("failed job carries a result: %+v", done.Result)
 	}
 }
 

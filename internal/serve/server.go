@@ -119,6 +119,10 @@ type Server struct {
 	kick      chan struct{}
 	wg        sync.WaitGroup // running jobs
 	schedDone chan struct{}
+
+	// synthesize runs one job's pipeline; tests substitute it to drive
+	// the job lifecycle through outcomes a real search rarely produces.
+	synthesize func(ctx context.Context, d *rcgp.Design, opt rcgp.Options) (*rcgp.Result, error)
 }
 
 // New starts a server (and its scheduler goroutine). When
@@ -155,6 +159,9 @@ func New(cfg Config) *Server {
 		cecWins:   make(map[string]int64),
 		kick:      make(chan struct{}, 1),
 		schedDone: make(chan struct{}),
+		synthesize: func(ctx context.Context, d *rcgp.Design, opt rcgp.Options) (*rcgp.Result, error) {
+			return d.SynthesizeContext(ctx, opt)
+		},
 	}
 	if s.reg == nil {
 		s.reg = obs.Default
@@ -610,7 +617,7 @@ func (s *Server) runJob(j *job, workers int) {
 	// registry (served on GET /jobs/{id}) and the server registry (the
 	// cross-job aggregate behind /metrics and /metricsz).
 	ctx = obs.WithScope(ctx, obs.NewScope(j.reg, s.reg))
-	res, err := j.design.SynthesizeContext(ctx, s.options(j, workers))
+	res, err := s.synthesize(ctx, j.design, s.options(j, workers))
 	var result *client.Result
 	if err == nil {
 		result = s.wireResult(j, res)
@@ -640,7 +647,7 @@ func (s *Server) runJob(j *job, workers int) {
 	switch {
 	case err != nil && (j.canceled || drained):
 		j.status = client.StatusCanceled
-		j.errMsg = "canceled before a circuit was available"
+		j.errMsg = err.Error()
 		s.reg.Counter("serve.jobs_canceled").Inc()
 	case err != nil:
 		j.status = client.StatusFailed

@@ -194,14 +194,6 @@ type Options struct {
 	// best-individual ring migration, dividing Workers among them.
 	// Default 1 (no island model).
 	Islands int
-	// Incremental enables incremental offspring evaluation: phenotype-
-	// identical offspring inherit the parent's fitness without simulation,
-	// and all others re-simulate only the fan-out cone of their mutated
-	// genes against the parent's resident port vectors. The evolved
-	// circuit, its fitness, and every deterministic counter are
-	// bit-identical per seed to the full path; only throughput changes.
-	// Default off.
-	Incremental bool
 	// TimeBudget bounds the wall-clock time of the evolution.
 	TimeBudget time.Duration
 	// InitializationOnly skips the CGP stage, yielding the paper's
@@ -666,7 +658,6 @@ func (d *Design) SynthesizeContext(ctx context.Context, opt Options) (*Result, e
 			Seed:         opt.Seed,
 			Workers:      opt.Workers,
 			Islands:      opt.Islands,
-			Incremental:  opt.Incremental,
 			TimeBudget:   opt.TimeBudget,
 		},
 	}
